@@ -117,7 +117,6 @@ type Kernel struct {
 	classRank     []int
 
 	procs   map[Pid]*Process
-	threads map[Tid]*Thread
 	nextPid Pid
 	nextTid Tid
 
@@ -147,12 +146,11 @@ func New(eng *sim.Engine, cfg hw.Config, params SchedParams) *Kernel {
 		panic(err)
 	}
 	k := &Kernel{
-		Eng:     eng,
-		HW:      cfg,
-		Params:  params,
-		procs:   make(map[Pid]*Process),
-		threads: make(map[Tid]*Thread),
-		Local:   make(map[string]any),
+		Eng:    eng,
+		HW:     cfg,
+		Params: params,
+		procs:  make(map[Pid]*Process),
+		Local:  make(map[string]any),
 	}
 	k.classes = newClasses(k)
 	k.classByName = make(map[string]Class, len(k.classes))
@@ -251,9 +249,6 @@ func (p *Process) Threads() []*Thread {
 	return out
 }
 
-// LookupThread finds a thread by tid, or nil.
-func (k *Kernel) LookupThread(tid Tid) *Thread { return k.threads[tid] }
-
 // Processes returns all processes, in creation order of pid.
 func (k *Kernel) Processes() []*Process {
 	out := make([]*Process, 0, len(k.procs))
@@ -335,5 +330,5 @@ func (k *Kernel) CoreIdleTime(c int) sim.Duration {
 }
 
 func (k *Kernel) String() string {
-	return fmt.Sprintf("kernel(%s, %d cores, %d threads)", k.HW.Name, len(k.cores), len(k.threads))
+	return fmt.Sprintf("kernel(%s, %d cores, %d threads)", k.HW.Name, len(k.cores), k.nextTid)
 }

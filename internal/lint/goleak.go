@@ -8,19 +8,22 @@ import (
 
 // GoLeak flags host concurrency inside the deterministic core: raw go
 // statements, bare channel operations (make/send/receive/close/select/
-// range), and sync.{Mutex,RWMutex,WaitGroup,Once,Cond,Map}. All
-// concurrency in a simulation must ride the engine's event queue
-// (Engine.Spawn procs, events, virtual-time ordering) so that the
-// interleaving is a function of the seed, not of the Go scheduler. The
-// only legitimate host concurrency is the engine's own coroutine
-// handoff in internal/sim, and those few sites carry annotated
-// //lint:allow goleak(...) directives; the harness worker pool lives
-// outside the deterministic package set entirely.
+// range), sync.{Mutex,RWMutex,WaitGroup,Once,Cond,Map}, and iter.Pull/
+// iter.Pull2 coroutines. All concurrency in a simulation must ride the
+// engine's event queue (Engine.Spawn procs, events, virtual-time
+// ordering) so that the interleaving is a function of the seed, not of
+// the Go scheduler. A coroutine started outside Engine.Spawn would be a
+// second scheduler the engine does not serialise, so the one iter.Pull
+// call inside Engine.Spawn carries the only reasoned
+// //lint:allow goleak(...) directive in internal/sim. The pdes barrier
+// protocol (internal/sim/pdes) is the only sanctioned host concurrency,
+// and its sites are annotated the same way; the harness worker pool
+// lives outside the deterministic package set entirely.
 var GoLeak = &Analyzer{
 	Name: "goleak",
-	Doc: "flags raw goroutines, bare channel operations, and sync primitives in " +
-		"simulation-deterministic packages; concurrency must ride the engine's " +
-		"event queue",
+	Doc: "flags raw goroutines, bare channel operations, sync primitives, and " +
+		"iter.Pull coroutines in simulation-deterministic packages; concurrency " +
+		"must ride the engine's event queue",
 	Run: runGoLeak,
 }
 
@@ -91,11 +94,20 @@ func runGoLeak(pass *Pass) error {
 			}
 		case *ast.SelectorExpr:
 			obj := info.Uses[n.Sel]
-			if obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "sync" && syncTypes[obj.Name()] {
+			if obj == nil || obj.Pkg() == nil {
+				break
+			}
+			switch path := obj.Pkg().Path(); {
+			case path == "sync" && syncTypes[obj.Name()]:
 				pass.Reportf(n.Pos(),
 					"sync.%s in deterministic package %s: the simulation is single-threaded "+
 						"per engine; synchronisation belongs in simulated primitives (futex, "+
 						"glibc locks), not host sync", obj.Name(), pass.PkgPath)
+			case path == "iter" && (obj.Name() == "Pull" || obj.Name() == "Pull2"):
+				pass.Reportf(n.Pos(),
+					"iter.%s in deterministic package %s: a coroutine outside Engine.Spawn "+
+						"is a second scheduler the engine does not serialise; spawn a proc",
+					obj.Name(), pass.PkgPath)
 			}
 		}
 		return true

@@ -44,9 +44,9 @@ func okEngineStyle(events []func()) {
 	}
 }
 
-// okAllowed: the engine's own coroutine handoff carries reasoned
-// allows like this one.
+// okAllowed: the pdes barrier's channels carry reasoned allows like
+// this one.
 func okAllowed() chan struct{} {
-	//lint:allow goleak(test fixture mirroring the engine's handoff channel)
+	//lint:allow goleak(test fixture mirroring a pdes barrier channel)
 	return make(chan struct{})
 }

@@ -87,7 +87,9 @@ func BenchmarkCancelHeavy(b *testing.B) {
 
 // BenchmarkParkResumePingPong measures the full proc context-switch
 // machinery: two procs alternately readying each other, so every
-// iteration is two park/dispatch cycles (four goroutine handoffs).
+// iteration is two park/dispatch cycles (four coroutine switches).
+// switches/op counts the dispatches per iteration, separating "less
+// work" from "same work, done faster".
 func BenchmarkParkResumePingPong(b *testing.B) {
 	e := NewEngine(1)
 	var a, c *Proc
@@ -114,6 +116,27 @@ func BenchmarkParkResumePingPong(b *testing.B) {
 	_, _ = e.RunAll()
 	b.StopTimer()
 	e.KillAll()
+	b.ReportMetric(float64(e.Switches())/float64(b.N), "switches/op")
+}
+
+// BenchmarkSpawnExit measures a proc's whole life: Spawn, one dispatch
+// in which the body returns, and the exit epilogue. Its allocs/op is
+// the per-proc cost every simulated thread pays once.
+func BenchmarkSpawnExit(b *testing.B) {
+	e := NewEngine(1)
+	body := func(*Proc) {}
+	b.ReportAllocs()
+	b.ResetTimer()
+	const batch = 1024
+	for n := 0; n < b.N; n += batch {
+		for i := 0; i < batch; i++ {
+			e.Ready(e.Spawn("p", body))
+		}
+		if _, err := e.RunAll(); err != nil {
+			b.Fatal(err)
+		}
+		e.procs = e.procs[:0]
+	}
 }
 
 // benchDenseFleetTimers models the fleet-scale inner loop the timing
@@ -172,7 +195,7 @@ func BenchmarkCancelStorm(b *testing.B) {
 }
 
 // BenchmarkProcSleep measures the sleep path: timer + resume event per
-// iteration.
+// iteration, with switches/op reported as for the ping-pong.
 func BenchmarkProcSleep(b *testing.B) {
 	e := NewEngine(1)
 	p := e.Spawn("sleeper", func(p *Proc) {
@@ -186,4 +209,5 @@ func BenchmarkProcSleep(b *testing.B) {
 	if _, err := e.RunAll(); err != nil {
 		b.Fatal(err)
 	}
+	b.ReportMetric(float64(e.Switches())/float64(b.N), "switches/op")
 }

@@ -3,10 +3,10 @@ package sim
 import "fmt"
 
 // Engine is the discrete-event simulation driver. It owns the virtual clock
-// and the event queue, and it schedules procs (coroutine-style goroutines)
-// one at a time: at any instant exactly one proc — or the engine itself —
-// is executing, so simulations are race-free and deterministic without
-// locks.
+// and the event queue, and it schedules procs (iter.Pull coroutines, see
+// Spawn) one at a time: at any instant exactly one proc — or the engine
+// itself — is executing, so simulations are race-free and deterministic
+// without locks.
 type Engine struct {
 	now  Time
 	heap eventHeap
@@ -50,26 +50,25 @@ type Engine struct {
 	immHead int
 
 	cur     *Proc
-	back    chan struct{} // procs hand control back to the driver here
 	nextPID int
 	live    int // procs spawned and not yet exited
 	procs   []*Proc
 
-	panicVal any // panic propagated out of a proc
-	stopped  bool
+	stopped bool
 
 	// processed counts events fired over the engine's lifetime, for run
 	// profiling (events/s, events-per-window). One integer increment in
 	// fire — no allocation, no observable effect on the simulation.
 	processed uint64
+	// switches counts proc dispatches (engine-to-proc control
+	// transfers), the simulated context switches, on the same terms.
+	switches uint64
 }
 
 // NewEngine returns an engine whose RNG streams derive from seed.
 func NewEngine(seed uint64) *Engine {
 	return &Engine{
-		rng: NewRand(seed),
-		//lint:allow goleak(unbuffered back channel is the engine half of the proc coroutine handoff; see Proc.Spawn)
-		back:      make(chan struct{}),
+		rng:       NewRand(seed),
 		wheelGate: wheelMinHeap,
 	}
 }
@@ -306,9 +305,6 @@ func (e *Engine) run(until Time, window bool) (Time, error) {
 			return e.now, nil
 		}
 		e.fire(ev)
-		if e.panicVal != nil {
-			panic(e.panicVal)
-		}
 	}
 	if e.stopped {
 		e.stopped = false
@@ -330,6 +326,12 @@ func (e *Engine) run(until Time, window bool) (Time, error) {
 // lifetime — the profiling denominator for events-per-host-second and
 // the pdes per-shard events-per-window accounting.
 func (e *Engine) Processed() uint64 { return e.processed }
+
+// Switches returns the number of times the engine has handed control to
+// a proc over its lifetime — one per dispatch, the work count behind
+// every simulated context switch. Like Processed, it is a profiling
+// accessor: no simulation output reads it.
+func (e *Engine) Switches() uint64 { return e.switches }
 
 // WheelOccupancy returns the number of events currently resident in the
 // timing wheel — the short-horizon tier between the immediate ring and

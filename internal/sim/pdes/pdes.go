@@ -27,11 +27,13 @@
 // unrelated events, which the scenarios' continuous-time workloads do
 // not generate (and the determinism tests verify).
 //
-// The host goroutines and channels below are the second sanctioned use
-// of host concurrency in the deterministic core (after the engine's
-// coroutine handoff): one worker per shard, commanded over unbuffered
-// channels, with a full barrier between windows — so the Go scheduler
-// chooses only *when* windows run, never their contents or order.
+// The host goroutines and channels below are the only sanctioned use of
+// host concurrency in the deterministic core: one worker per shard,
+// commanded over unbuffered channels, with a full barrier between
+// windows — so the Go scheduler chooses only *when* windows run, never
+// their contents or order. A shard's proc coroutines (sim.Engine.Spawn)
+// may be resumed from the coordinator in one window and from the
+// shard's worker in the next; the barrier orders every such resume.
 package pdes
 
 import (

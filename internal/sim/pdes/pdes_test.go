@@ -332,3 +332,70 @@ func TestDenseTimersShardCountInvariant(t *testing.T) {
 		}
 	}
 }
+
+// TestProcResumedInlineAndFromWorker drives one shard's proc through
+// both ways the coordinator runs a window: inline on the coordinator's
+// goroutine when only that shard has work, and on the shard's worker
+// goroutine when the window fans out. The proc coroutine must resume
+// correctly from either host goroutine and keep its virtual timeline;
+// under -race this also checks that the barrier orders every resume.
+func TestProcResumedInlineAndFromWorker(t *testing.T) {
+	g, s := newGroup(2)
+	const iters = 40
+	var wakes []sim.Time
+	var inline, fanout int
+	var p *sim.Proc
+	p = s[1].Engine().Spawn("walker", func(p *sim.Proc) {
+		for i := 0; i < iters; i++ {
+			wakes = append(wakes, s[1].Now())
+			switch len(g.active) {
+			case 1:
+				inline++
+			default:
+				fanout++
+			}
+			if i == iters/2 {
+				// Wait for a cross-shard wake-up instead of a timer.
+				p.Park()
+				continue
+			}
+			p.Sleep(sim.Millisecond)
+		}
+	})
+	s[1].Engine().Ready(p)
+	// Shard 0 is busy only from 15ms to 25ms, so earlier and later
+	// windows hold shard 1 alone. At 20ms it wakes the parked proc.
+	for ms := 15; ms <= 25; ms++ {
+		s[0].Engine().After(sim.Duration(ms)*sim.Millisecond, func() {})
+	}
+	s[0].Engine().After(20*sim.Millisecond, func() {
+		s[0].Send(s[1], s[0].Now().Add(look), func(any) { s[1].Engine().Ready(p) }, nil)
+	})
+	if _, err := g.Run(sim.Forever); err != nil {
+		t.Fatal(err)
+	}
+	if p.State() != sim.ProcExited || g.Live() != 0 {
+		t.Fatalf("proc %v, live %d", p.State(), g.Live())
+	}
+	if inline == 0 || fanout == 0 {
+		t.Fatalf("proc resumed %d times inline and %d from a worker; want both", inline, fanout)
+	}
+	if len(wakes) != iters {
+		t.Fatalf("%d wakes, want %d", len(wakes), iters)
+	}
+	for i, at := range wakes {
+		want := sim.Time(0).Add(sim.Duration(i) * sim.Millisecond)
+		if i > iters/2 {
+			// The park at iters/2 ms ends at 20ms + lookahead.
+			want = sim.Time(0).Add(20*sim.Millisecond + look + sim.Duration(i-iters/2-1)*sim.Millisecond)
+		}
+		if at != want {
+			t.Fatalf("wake %d at %v, want %v", i, at, want)
+		}
+	}
+	// One dispatch per recorded wake, plus the one after the last
+	// sleep, in which the proc returns.
+	if got := s[1].Engine().Switches(); got != iters+1 {
+		t.Fatalf("switches = %d, want %d", got, iters+1)
+	}
+}

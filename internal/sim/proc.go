@@ -1,7 +1,10 @@
+//go:build go1.23
+
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"runtime/debug"
 )
 
@@ -30,10 +33,10 @@ func (s ProcState) String() string {
 	return "unknown"
 }
 
-// Proc is a simulated activity: a goroutine that runs only when the engine
-// hands it control, and that returns control by parking or exiting. All
-// simulated threads, interrupt handlers with complex logic, and workload
-// drivers are procs.
+// Proc is a simulated activity: a coroutine that runs only when the
+// engine hands it control, and that returns control by parking or
+// exiting. All simulated threads, interrupt handlers with complex logic,
+// and workload drivers are procs.
 type Proc struct {
 	ID   int
 	Name string
@@ -43,14 +46,18 @@ type Proc struct {
 	// engine itself never touches it.
 	Data any
 
-	eng     *Engine
-	resume  chan struct{}
+	eng *Engine
+	// next resumes the proc's coroutine from the engine and returns when
+	// the proc parks or exits; yield, set on the proc's first run, is the
+	// proc-side half that hands control back.
+	next    func() (struct{}, bool)
+	yield   func(struct{}) bool
 	state   ProcState
 	pending bool // a resume event is queued
 	killed  bool
 }
 
-// killSentinel unwinds a killed proc's goroutine from inside Park.
+// killSentinel unwinds a killed proc's coroutine from inside Park.
 type killSentinel struct{}
 
 // State returns the proc's lifecycle state.
@@ -61,48 +68,53 @@ func (p *Proc) String() string { return fmt.Sprintf("proc %d (%s)", p.ID, p.Name
 // Spawn creates a proc running fn. The proc does not start until Ready is
 // called (typically immediately by the caller, or by a scheduler model when
 // it dispatches the underlying thread).
+//
+// The proc body runs as an iter.Pull coroutine: the engine resumes it
+// with next and the proc hands control back with yield, each a direct
+// switch that never passes through the Go scheduler. Exactly one of the
+// engine and its procs executes at any instant, so no host ordering can
+// leak into simulation output. A panic in fn is wrapped with the proc's
+// identity and stack and re-raised from the engine's Run.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	e.nextPID++
 	p := &Proc{
-		ID:   e.nextPID,
-		Name: name,
-		eng:  e,
-		//lint:allow goleak(unbuffered resume channel is the proc half of the engine's strict coroutine handoff)
-		resume: make(chan struct{}),
-		state:  ProcCreated,
+		ID:    e.nextPID,
+		Name:  name,
+		eng:   e,
+		state: ProcCreated,
 	}
 	e.procs = append(e.procs, p)
 	e.live++
-	// This goroutine and the channel operations below are the engine's
-	// coroutine-handoff machinery — the ONE sanctioned use of host
-	// concurrency in the deterministic core. The unbuffered
-	// resume/back pair enforces strict alternation: exactly one
-	// goroutine (the engine or one proc) is ever runnable, so the Go
-	// scheduler has no choices to make and no ordering can leak into
-	// simulation output. Everything above this layer must use engine
-	// events; goleak enforces that.
-	//lint:allow goleak(coroutine handoff: proc goroutines run strictly one-at-a-time under engine control)
-	go func() {
-		//lint:allow goleak(coroutine handoff receive; see Spawn comment)
-		<-p.resume
-		defer func() {
-			if r := recover(); r != nil {
-				if _, isKill := r.(killSentinel); !isKill {
-					e.panicVal = fmt.Errorf("sim: panic in %v: %v\n%s", p, r, debug.Stack())
-				}
-			}
-			p.state = ProcExited
-			e.live--
-			e.cur = nil
-			//lint:allow goleak(coroutine handoff send; see Spawn comment)
-			e.back <- struct{}{}
-		}()
+	//lint:allow goleak(the engine's proc coroutine: resumed only by Engine.dispatch, so it runs strictly one-at-a-time under engine control)
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		defer p.exit()
 		if p.killed {
 			return
 		}
 		fn(p)
-	}()
+	})
 	return p
+}
+
+// exit is the proc coroutine's epilogue. It runs as fn returns or
+// unwinds and marks the proc exited; control then returns to the
+// engine's next call. A kill unwinding ends here; any other panic is
+// re-raised wrapped, and next re-raises it in the engine in turn.
+func (p *Proc) exit() {
+	r := recover()
+	e := p.eng
+	p.state = ProcExited
+	// e.procs keeps p until the engine is dropped; release the
+	// coroutine's closures now.
+	p.next, p.yield = nil, nil
+	e.live--
+	e.cur = nil
+	if r != nil {
+		if _, isKill := r.(killSentinel); !isKill {
+			panic(fmt.Errorf("sim: panic in %v: %v\n%s", p, r, debug.Stack()))
+		}
+	}
 }
 
 // dispatchProc is the resume-event callback: a single package-level
@@ -133,7 +145,7 @@ func (e *Engine) Ready(p *Proc) {
 	e.AtFunc(e.now, dispatchProc, p)
 }
 
-// dispatch transfers control to p and blocks until p parks or exits.
+// dispatch transfers control to p and returns when p parks or exits.
 func (e *Engine) dispatch(p *Proc) {
 	p.pending = false
 	if p.state == ProcExited {
@@ -147,31 +159,26 @@ func (e *Engine) dispatch(p *Proc) {
 	}
 	e.cur = p
 	p.state = ProcRunning
-	//lint:allow goleak(coroutine handoff send; see Spawn comment)
-	p.resume <- struct{}{}
-	//lint:allow goleak(coroutine handoff receive; see Spawn comment)
-	<-e.back
+	e.switches++
+	p.next()
 }
 
 // Park suspends the calling proc until Ready is invoked on it. It must be
-// called from within the proc's own goroutine.
+// called from within the proc's own body.
 func (p *Proc) Park() {
 	e := p.eng
 	if e.cur != p {
-		panic(fmt.Sprintf("sim: Park called on %v from outside its goroutine", p))
+		panic(fmt.Sprintf("sim: Park called on %v from outside its body", p))
 	}
 	p.state = ProcParked
 	e.cur = nil
-	//lint:allow goleak(coroutine handoff send; see Spawn comment)
-	e.back <- struct{}{}
-	//lint:allow goleak(coroutine handoff receive; see Spawn comment)
-	<-p.resume
+	p.yield(struct{}{})
 	if p.killed {
 		panic(killSentinel{})
 	}
 }
 
-// Kill terminates a proc: the next time it would resume, its goroutine
+// Kill terminates a proc: the next time it would resume, its coroutine
 // unwinds (running deferred functions) instead of continuing. Used to
 // model process exit tearing down its remaining threads. Killing the
 // currently running proc or an exited proc is not allowed / a no-op.
@@ -187,9 +194,9 @@ func (e *Engine) Kill(p *Proc) {
 }
 
 // KillAll terminates every live proc and drains the resulting unwinding,
-// releasing all goroutines. Used to abandon a timed-out experiment without
-// leaking goroutines. The event queue may still hold (cancelled or inert)
-// timers afterwards; the engine should be discarded.
+// so every proc coroutine finishes. Used to abandon a timed-out
+// experiment without leaking coroutines. The event queue may still hold
+// (cancelled or inert) timers afterwards; the engine should be discarded.
 func (e *Engine) KillAll() {
 	for _, p := range e.procs {
 		if p.state != ProcExited && p.state != ProcRunning {
@@ -204,9 +211,6 @@ func (e *Engine) KillAll() {
 			break
 		}
 		e.fire(ev)
-		if e.panicVal != nil {
-			panic(e.panicVal)
-		}
 	}
 }
 
